@@ -23,13 +23,33 @@ func benchOpts(faults int, wls ...string) experiments.Options {
 	return experiments.Options{Faults: faults, Workloads: wls, Seed: 1}
 }
 
+// startSession starts a campaign over workload with opts.
+func startSession(b *testing.B, workload string, opts ...merlin.Option) *merlin.Session {
+	b.Helper()
+	s, err := merlin.Start(context.Background(), workload, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// preprocess starts a campaign and runs phase 1, returning its products.
+func preprocess(b *testing.B, workload string, opts ...merlin.Option) *merlin.Artifacts {
+	b.Helper()
+	s := startSession(b, workload, opts...)
+	if err := s.Preprocess(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	return s.Artifacts()
+}
+
 // BenchmarkTable1 exercises the baseline configuration golden run.
 func BenchmarkTable1_BaselineConfig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if experiments.Table1() == "" {
 			b.Fatal("empty")
 		}
-		rep, err := merlin.Run(merlin.Config{Workload: "sha", Structure: merlin.RF, Faults: 200, Seed: 1})
+		rep, err := startSession(b, "sha", merlin.WithStructure(merlin.RF), merlin.WithFaults(200), merlin.WithSeed(1)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,12 +224,15 @@ func BenchmarkFigure14_PostACEAccuracy(b *testing.B) {
 // against the comprehensive baseline.
 func BenchmarkFigure15_BaselineAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := merlin.Config{Workload: "fft", Structure: merlin.SQ, Faults: 400, Seed: 2}
-		base, err := merlin.RunBaseline(cfg)
+		s := startSession(b, "fft", merlin.WithStructure(merlin.SQ), merlin.WithFaults(400), merlin.WithSeed(2))
+		base, err := s.Baseline(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep := base.Artifacts.Inject()
+		rep, err := s.Inject(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
 		worst := 0.0
 		for o := campaign.Outcome(0); o < campaign.NumOutcomes; o++ {
 			d := 100 * (rep.Dist.Share(o) - base.Dist.Share(o))
@@ -228,7 +251,7 @@ func BenchmarkFigure15_BaselineAccuracy(b *testing.B) {
 // BenchmarkFigure16 computes FIT rates for baseline, MeRLiN and ACE-like.
 func BenchmarkFigure16_FIT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := merlin.Run(merlin.Config{Workload: "sha", Structure: merlin.RF, Faults: 1000, Seed: 3})
+		rep, err := startSession(b, "sha", merlin.WithStructure(merlin.RF), merlin.WithFaults(1000), merlin.WithSeed(3)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,11 +319,7 @@ func BenchmarkTheory_VarianceAnalysis(b *testing.B) {
 // identical fault list and golden run.
 func strategyArtifacts(b *testing.B) *merlin.Artifacts {
 	b.Helper()
-	a, err := merlin.Preprocess(merlin.Config{Workload: "sha", Structure: merlin.RF, Faults: 1000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return a
+	return preprocess(b, "sha", merlin.WithStructure(merlin.RF), merlin.WithFaults(1000), merlin.WithSeed(1))
 }
 
 func benchStrategy(b *testing.B, s campaign.Strategy) {
@@ -356,10 +375,7 @@ func BenchmarkStrategy_Speedup(b *testing.B) {
 func BenchmarkGoldenRun_SimulatorThroughput(b *testing.B) {
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		a, err := merlin.Preprocess(merlin.Config{Workload: "susan_c", Structure: merlin.RF, Faults: 1, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := preprocess(b, "susan_c", merlin.WithStructure(merlin.RF), merlin.WithFaults(1), merlin.WithSeed(1))
 		cycles = a.Golden.Result.Cycles
 	}
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
@@ -367,10 +383,7 @@ func BenchmarkGoldenRun_SimulatorThroughput(b *testing.B) {
 
 // BenchmarkACELikeAnalysis isolates the interval-building step.
 func BenchmarkACELikeAnalysis_Build(b *testing.B) {
-	a, err := merlin.Preprocess(merlin.Config{Workload: "bzip2", Structure: merlin.L1D, Faults: 2000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := preprocess(b, "bzip2", merlin.WithStructure(merlin.L1D), merlin.WithFaults(2000), merlin.WithSeed(1))
 	log := a.Golden.Tracer.Log(merlin.L1D)
 	core := a.Runner.NewCore()
 	entries := core.StructureEntries(merlin.L1D)
@@ -383,10 +396,7 @@ func BenchmarkACELikeAnalysis_Build(b *testing.B) {
 
 // BenchmarkGrouping isolates phase 2 (the fault-list reduction itself).
 func BenchmarkGrouping_Reduce(b *testing.B) {
-	a, err := merlin.Preprocess(merlin.Config{Workload: "qsort", Structure: merlin.RF, Faults: 20000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := preprocess(b, "qsort", merlin.WithStructure(merlin.RF), merlin.WithFaults(20000), merlin.WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		red := reduction.Reduce(a.Analysis, a.Faults, reduction.DefaultOptions())

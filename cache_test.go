@@ -1,6 +1,8 @@
 package merlin
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"merlin/internal/cpu"
@@ -10,36 +12,20 @@ import (
 // (populating), and cache-hit (served) must produce identical reports; the
 // hit must skip the golden run.
 func TestCacheBitIdenticalReports(t *testing.T) {
-	cfg := Config{
-		Workload:  "sha",
-		Structure: RF,
-		Faults:    300,
-		Seed:      11,
-		Strategy:  StrategyForked,
-	}
-
-	cold, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := []Option{WithStructure(RF), WithFaults(300), WithSeed(11), WithStrategy(StrategyForked)}
+	cold := runSession(t, "sha", opts...)
 
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cache = cache
+	opts = append(opts, WithCache(cache))
 
-	miss, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	miss := runSession(t, "sha", opts...)
 	if miss.CacheHit {
 		t.Fatal("first cached run reported a cache hit on an empty cache")
 	}
-	hit, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hit := runSession(t, "sha", opts...)
 	if !hit.CacheHit {
 		t.Fatal("second cached run missed; golden run was repeated")
 	}
@@ -68,32 +54,30 @@ func TestCacheKeySeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workload: "sha", Structure: RF, Faults: 50, Seed: 3, Cache: cache}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg.CPU = cpu.DefaultConfig().WithRF(128)
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := []Option{WithStructure(RF), WithFaults(50), WithSeed(3), WithCache(cache)}
+	runSession(t, "sha", opts...)
+	rep := runSession(t, "sha", append(opts, WithCPU(cpu.DefaultConfig().WithRF(128)))...)
 	if rep.CacheHit {
 		t.Fatal("campaign with a different core config was served another config's artifact")
 	}
 }
 
-// TestConfigValidation: negative knobs reach the user as errors, not as
-// silently applied defaults.
+// TestConfigValidation: negative knobs reach the user as Start errors
+// naming the knob, not as silently applied defaults.
 func TestConfigValidation(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"negative workers": {Workload: "sha", Structure: RF, Faults: 10, Workers: -2},
-		"negative faults":  {Workload: "sha", Structure: RF, Faults: -1},
-		"negative reps":    {Workload: "sha", Structure: RF, Faults: 10, RepsPerGroup: -3},
-		"negative ckpts":   {Workload: "sha", Structure: RF, Faults: 10, Checkpoints: -1},
-		"bad confidence":   {Workload: "sha", Structure: RF, Confidence: 1.5},
+	for name, tc := range map[string]struct {
+		opt  Option
+		knob string
+	}{
+		"negative workers": {WithWorkers(-2), "Workers"},
+		"negative faults":  {WithFaults(-1), "Faults"},
+		"negative reps":    {WithRepsPerGroup(-3), "RepsPerGroup"},
+		"negative ckpts":   {WithCheckpoints(-1), "Checkpoints"},
+		"bad confidence":   {WithSampling(1.5, 0), "Confidence"},
 	} {
-		if _, err := Preprocess(cfg); err == nil {
-			t.Errorf("%s: Preprocess accepted invalid config", name)
+		_, err := Start(context.Background(), "sha", WithStructure(RF), tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.knob) {
+			t.Errorf("%s: Start error %v, want one naming %s", name, err, tc.knob)
 		}
 	}
 }

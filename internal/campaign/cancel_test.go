@@ -12,12 +12,43 @@ import (
 	"merlin/internal/sampling"
 )
 
+// campaignMode is one engine configuration the common campaign contract
+// covers: a strategy under full classification, or truncated mode. ref is
+// its fresh-core per-fault reference.
+type campaignMode struct {
+	name string
+	run  func(ctx context.Context, faults []fault.Fault) (*Result, error)
+	ref  func(f fault.Fault) Outcome
+}
+
+// campaignModes lists every engine configuration over one golden run:
+// Replay, Checkpointed (k rungs) and Forked, plus truncated mode cut at
+// half the golden run.
+func campaignModes(t *testing.T, r *Runner, g *Golden, k int) []campaignMode {
+	t.Helper()
+	tg, err := r.RunGoldenTruncated(g.Result.Cycles / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := func(f fault.Fault) Outcome { return r.RunFault(f, &g.Result) }
+	var modes []campaignMode
+	for _, s := range []Strategy{Replay, Checkpointed, Forked} {
+		modes = append(modes, campaignMode{s.String(), func(ctx context.Context, faults []fault.Fault) (*Result, error) {
+			return r.RunAllWith(ctx, s, faults, &g.Result, k)
+		}, full})
+	}
+	return append(modes, campaignMode{"truncated", func(ctx context.Context, faults []fault.Fault) (*Result, error) {
+		return r.RunAllTruncated(ctx, faults, tg)
+	}, func(f fault.Fault) Outcome { return r.RunFaultTruncated(f, tg) }})
+}
+
 // TestSchedulerCancellation is the differential cancellation suite: for
-// every strategy, cancelling mid-campaign must (a) stop within one fault
-// of the cancellation point (exact with a single worker), (b) propagate
-// context.Canceled, (c) return a partial Result whose classified outcomes
-// are bit-identical to an uncancelled run's, and (d) keep the accounting
-// consistent: Dist.Total() + Cancelled == len(faults).
+// every strategy and truncated mode, cancelling mid-campaign must (a) stop
+// within one fault of the cancellation point (exact with a single
+// worker), (b) propagate context.Canceled, (c) return a partial Result
+// whose classified outcomes are bit-identical to the fresh-core
+// reference's, and (d) keep the accounting consistent: Dist.Total() +
+// Cancelled == len(faults).
 func TestSchedulerCancellation(t *testing.T) {
 	const nFaults = 60
 	const cancelAfter = 10
@@ -31,9 +62,8 @@ func TestSchedulerCancellation(t *testing.T) {
 	c := r.NewCore()
 	faults := sampling.Generate(lifetime.StructRF,
 		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, nFaults, 23)
-	ref := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
 
-	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
+	for _, mode := range campaignModes(t, r, g, 4) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var classified atomic.Int64
 		r.OnOutcome = func(idx int, f fault.Fault, o Outcome) {
@@ -41,51 +71,51 @@ func TestSchedulerCancellation(t *testing.T) {
 				cancel()
 			}
 		}
-		res, err := r.RunAllWith(ctx, strat, faults, &g.Result, 4)
+		res, err := mode.run(ctx, faults)
 		r.OnOutcome = nil
 		cancel()
 
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err = %v, want context.Canceled", strat, err)
+			t.Fatalf("%v: err = %v, want context.Canceled", mode.name, err)
 		}
 		total := res.Dist.Total()
 		if total+res.Cancelled != len(faults) {
 			t.Fatalf("%v: Dist.Total() %d + Cancelled %d != %d faults",
-				strat, total, res.Cancelled, len(faults))
+				mode.name, total, res.Cancelled, len(faults))
 		}
 		if res.Injected != total {
-			t.Errorf("%v: Injected %d != classified %d", strat, res.Injected, total)
+			t.Errorf("%v: Injected %d != classified %d", mode.name, res.Injected, total)
 		}
 		if res.Cancelled == 0 {
-			t.Fatalf("%v: campaign ran to completion despite cancellation", strat)
+			t.Fatalf("%v: campaign ran to completion despite cancellation", mode.name)
 		}
 		// Stop bound: the fault mid-flight when cancel() fired may finish,
 		// nothing beyond it may start.
 		if total > cancelAfter+1 {
 			t.Errorf("%v: classified %d faults, want <= %d (cancel after %d + one in flight)",
-				strat, total, cancelAfter+1, cancelAfter)
+				mode.name, total, cancelAfter+1, cancelAfter)
 		}
 		// Everything classified before the cut is bit-identical to the
-		// uncancelled reference; everything after carries the sentinel.
+		// fresh-core reference; everything after carries the sentinel.
 		marked := 0
 		for i, o := range res.Outcomes {
 			if o == Cancelled {
 				marked++
 				continue
 			}
-			if o != ref.Outcomes[i] {
-				t.Errorf("%v: fault %d classified %v, reference %v", strat, i, o, ref.Outcomes[i])
+			if want := mode.ref(faults[i]); o != want {
+				t.Errorf("%v: fault %d classified %v, reference %v", mode.name, i, o, want)
 			}
 		}
 		if marked != res.Cancelled {
-			t.Errorf("%v: %d Cancelled sentinels vs Cancelled count %d", strat, marked, res.Cancelled)
+			t.Errorf("%v: %d Cancelled sentinels vs Cancelled count %d", mode.name, marked, res.Cancelled)
 		}
 	}
 }
 
 // TestSchedulerCancellationMultiWorker pins the documented stop bound
 // under real concurrency: with w workers, at most one in-flight fault per
-// worker (plus, for the forked scheduler, one handed-off job) may finish
+// worker (plus, under the forked sweep, one handed-off job) may finish
 // after the cancellation point.
 func TestSchedulerCancellationMultiWorker(t *testing.T) {
 	const nFaults = 120
@@ -102,7 +132,7 @@ func TestSchedulerCancellationMultiWorker(t *testing.T) {
 	faults := sampling.Generate(lifetime.StructRF,
 		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, nFaults, 29)
 
-	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
+	for _, mode := range campaignModes(t, r, g, 4) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var classified atomic.Int64
 		r.OnOutcome = func(idx int, f fault.Fault, o Outcome) {
@@ -110,20 +140,20 @@ func TestSchedulerCancellationMultiWorker(t *testing.T) {
 				cancel()
 			}
 		}
-		res, err := r.RunAllWith(ctx, strat, faults, &g.Result, 4)
+		res, err := mode.run(ctx, faults)
 		r.OnOutcome = nil
 		cancel()
 
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err = %v, want context.Canceled", strat, err)
+			t.Fatalf("%v: err = %v, want context.Canceled", mode.name, err)
 		}
 		if total := res.Dist.Total(); total > cancelAfter+workers+1 {
 			t.Errorf("%v: classified %d faults after cancel at %d with %d workers (bound %d)",
-				strat, total, cancelAfter, workers, cancelAfter+workers+1)
+				mode.name, total, cancelAfter, workers, cancelAfter+workers+1)
 		}
 		if res.Dist.Total()+res.Cancelled != len(faults) {
 			t.Errorf("%v: accounting broken: %d + %d != %d",
-				strat, res.Dist.Total(), res.Cancelled, len(faults))
+				mode.name, res.Dist.Total(), res.Cancelled, len(faults))
 		}
 	}
 }
@@ -143,14 +173,14 @@ func TestPreCancelledContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
-		res, err := r.RunAllWith(ctx, strat, faults, &g.Result, 3)
+	for _, mode := range campaignModes(t, r, g, 4) {
+		res, err := mode.run(ctx, faults)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err = %v, want context.Canceled", strat, err)
+			t.Fatalf("%v: err = %v, want context.Canceled", mode.name, err)
 		}
 		if res.Cancelled == 0 || res.Dist.Total()+res.Cancelled != len(faults) {
 			t.Fatalf("%v: inconsistent partial result: total %d cancelled %d of %d",
-				strat, res.Dist.Total(), res.Cancelled, len(faults))
+				mode.name, res.Dist.Total(), res.Cancelled, len(faults))
 		}
 	}
 }

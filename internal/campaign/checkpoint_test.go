@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"merlin/internal/cpu"
+	"merlin/internal/fault"
 	"merlin/internal/lifetime"
 	"merlin/internal/sampling"
 )
@@ -75,8 +76,8 @@ func TestCheckpointedCampaignIdentical(t *testing.T) {
 		for _, s := range []lifetime.StructureID{lifetime.StructRF, lifetime.StructSQ, lifetime.StructL1D} {
 			faults := sampling.Generate(s, c.StructureEntries(s), c.StructureEntryBits(s),
 				g.Result.Cycles, 60, 21)
-			plain := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
-			fast := mustRun(t)(r.RunAllCheckpointed(context.Background(), faults, &g.Result, 6))
+			plain := mustRun(t)(r.RunAllWith(context.Background(), Replay, faults, &g.Result, 0))
+			fast := mustRun(t)(r.RunAllWith(context.Background(), Checkpointed, faults, &g.Result, 6))
 			for i := range faults {
 				if plain.Outcomes[i] != fast.Outcomes[i] {
 					t.Errorf("%s/%v fault %v: replay %v vs checkpointed %v",
@@ -96,13 +97,16 @@ func TestCheckpointEdgeCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := r.BuildCheckpoints(4, g.Result.Cycles)
+	var faults []fault.Fault
 	for _, cyc := range []uint64{1, 2, set.cycles[1], set.cycles[1] + 1, g.Result.Cycles} {
 		f := sampling.Generate(lifetime.StructRF, 256, 64, 1, 1, int64(cyc))[0]
 		f.Cycle = cyc
-		plain := r.RunFault(f, &g.Result)
-		fast := r.RunFaultFrom(set, f, &g.Result)
-		if plain != fast {
-			t.Errorf("cycle %d: %v vs %v", cyc, plain, fast)
+		faults = append(faults, f)
+	}
+	fast := mustRun(t)(r.RunAllWith(context.Background(), Checkpointed, faults, &g.Result, 4))
+	for i, f := range faults {
+		if plain := r.RunFault(f, &g.Result); plain != fast.Outcomes[i] {
+			t.Errorf("cycle %d: %v vs %v", f.Cycle, plain, fast.Outcomes[i])
 		}
 	}
 }

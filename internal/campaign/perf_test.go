@@ -3,15 +3,16 @@ package campaign
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"merlin/internal/lifetime"
 	"merlin/internal/sampling"
 )
 
-// TestPooledReplayMatchesRunFault: RunAll's pooled reset-snapshot path
-// must classify every fault exactly as the untouched per-fault RunFault
-// (fresh core, no pool, no early exit) does — the seed behaviour.
+// TestPooledReplayMatchesRunFault: Replay's pooled reset-snapshot path
+// must classify every fault exactly as the per-fault RunFault (fresh
+// core, no pool, no early exit) does.
 func TestPooledReplayMatchesRunFault(t *testing.T) {
 	r := NewRunner(target(t, "sha"))
 	g, err := r.RunGolden()
@@ -20,10 +21,10 @@ func TestPooledReplayMatchesRunFault(t *testing.T) {
 	}
 	c := r.NewCore()
 	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 30, 5, nil)
-	res := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
+	res := mustRun(t)(r.RunAllWith(context.Background(), Replay, faults, &g.Result, 0))
 	for i, f := range faults {
 		if want := r.RunFault(f, &g.Result); res.Outcomes[i] != want {
-			t.Errorf("fault %v: pooled RunAll %v, RunFault %v", f, res.Outcomes[i], want)
+			t.Errorf("fault %v: pooled replay %v, RunFault %v", f, res.Outcomes[i], want)
 		}
 	}
 	if res.Clones != int64(len(faults)) {
@@ -37,8 +38,9 @@ func TestPooledReplayMatchesRunFault(t *testing.T) {
 	}
 }
 
-// TestRunFaultFromEarlyExitMatches: RunFaultFrom's new masked-equivalence
-// ladder exit must classify exactly as a full from-reset replay.
+// TestRunFaultFromEarlyExitMatches: a fault run from a checkpoint rung
+// with the masked-equivalence ladder exit (the Checkpointed campaign)
+// must classify exactly as a full from-reset RunFault.
 func TestRunFaultFromEarlyExitMatches(t *testing.T) {
 	r := NewRunner(target(t, "qsort"))
 	g, err := r.RunGolden()
@@ -48,8 +50,9 @@ func TestRunFaultFromEarlyExitMatches(t *testing.T) {
 	set := r.BuildCheckpoints(6, g.Result.Cycles)
 	c := r.NewCore()
 	faults := strategyFaultList(c, lifetime.StructL1D, g.Result.Cycles, 30, 9, set.cycles[1:])
-	for _, f := range faults {
-		if got, want := r.RunFaultFrom(set, f, &g.Result), r.RunFault(f, &g.Result); got != want {
+	res := mustRun(t)(r.RunAllWith(context.Background(), Checkpointed, faults, &g.Result, 6))
+	for i, f := range faults {
+		if got, want := res.Outcomes[i], r.RunFault(f, &g.Result); got != want {
 			t.Errorf("fault %v: checkpointed-with-exit %v, replay %v", f, got, want)
 		}
 	}
@@ -67,7 +70,7 @@ func TestCheckpointedCancelledWallClock(t *testing.T) {
 	faults := sampling.Generate(lifetime.StructRF, 256, 64, g.Result.Cycles, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := r.RunAllCheckpointed(ctx, faults, &g.Result, 4)
+	res, err := r.RunAllWith(ctx, Checkpointed, faults, &g.Result, 4)
 	if err == nil {
 		t.Fatal("cancelled campaign returned no error")
 	}
@@ -101,6 +104,45 @@ func (s *mapSnapshotSource) GetOrBuild(key SnapshotKey, build func() *Checkpoint
 	return set, false
 }
 
+// countingSource is a SnapshotSource that builds every ladder it is asked
+// for and counts the requests.
+type countingSource struct{ calls atomic.Int64 }
+
+func (s *countingSource) GetOrBuild(_ SnapshotKey, build func() *CheckpointSet) (*CheckpointSet, bool) {
+	s.calls.Add(1)
+	return build(), false
+}
+
+// TestLadderRequests: an empty campaign simulates and clones nothing and
+// never asks the SnapshotSource for a ladder, in every mode (regression:
+// an empty checkpointed campaign replayed a whole golden run to build its
+// ladder and reported that as SimCycles). A non-empty campaign asks
+// exactly once when its ladder has rungs, and never for the reset-only
+// ladder of Replay and truncated mode.
+func TestLadderRequests(t *testing.T) {
+	r := NewRunner(target(t, "sha"))
+	g, err := r.RunGolden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{}
+	r.Snapshots = src
+	faults := sampling.Generate(lifetime.StructRF, 256, 64, g.Result.Cycles, 5, 19)
+	want := map[string]int64{"replay": 0, "checkpointed": 1, "forked": 1, "truncated": 0}
+	for _, mode := range campaignModes(t, r, g, 4) {
+		src.calls.Store(0)
+		empty := mustRun(t)(mode.run(context.Background(), nil))
+		if empty.SimCycles != 0 || empty.Clones != 0 || src.calls.Load() != 0 {
+			t.Errorf("%s: empty campaign simulated %d cycles, took %d clones, asked the source %d times; want 0, 0, 0",
+				mode.name, empty.SimCycles, empty.Clones, src.calls.Load())
+		}
+		mustRun(t)(mode.run(context.Background(), faults))
+		if got := src.calls.Load(); got != want[mode.name] {
+			t.Errorf("%s: %d-fault campaign asked the source %d times, want %d", mode.name, len(faults), got, want[mode.name])
+		}
+	}
+}
+
 // TestSnapshotSourceSharing: with a SnapshotSource attached, repeat
 // campaigns reuse one ladder (SnapshotHit set, one build), outcomes stay
 // bit-identical, and both checkpointed and forked schedulers share the
@@ -113,13 +155,13 @@ func TestSnapshotSourceSharing(t *testing.T) {
 	}
 	c := r.NewCore()
 	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 25, 11, nil)
-	want := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
+	want := mustRun(t)(r.RunAllWith(context.Background(), Replay, faults, &g.Result, 0))
 
 	src := &mapSnapshotSource{}
 	r.Snapshots = src
 	for round := 0; round < 2; round++ {
-		ck := mustRun(t)(r.RunAllCheckpointed(context.Background(), faults, &g.Result, 4))
-		fk := mustRun(t)(r.RunAllForked(context.Background(), faults, &g.Result))
+		ck := mustRun(t)(r.RunAllWith(context.Background(), Checkpointed, faults, &g.Result, 4))
+		fk := mustRun(t)(r.RunAllWith(context.Background(), Forked, faults, &g.Result, 0))
 		if hit := round > 0; ck.SnapshotHit != hit || fk.SnapshotHit != hit {
 			t.Errorf("round %d: SnapshotHit ckpt=%v forked=%v, want %v", round, ck.SnapshotHit, fk.SnapshotHit, hit)
 		}
@@ -150,7 +192,7 @@ func TestConcurrentCampaignsSharedSnapshots(t *testing.T) {
 	}
 	c := base.NewCore()
 	faults := strategyFaultList(c, lifetime.StructRF, g.Result.Cycles, 20, 13, nil)
-	want := mustRun(t)(base.RunAll(context.Background(), faults, &g.Result))
+	want := mustRun(t)(base.RunAllWith(context.Background(), Replay, faults, &g.Result, 0))
 
 	var wg sync.WaitGroup
 	outcomes := make([]*Result, 4)
@@ -161,7 +203,7 @@ func TestConcurrentCampaignsSharedSnapshots(t *testing.T) {
 			r := NewRunner(target(t, "sha"))
 			r.Snapshots = src
 			r.Workers = 2
-			res, err := r.RunAllForked(context.Background(), faults, &g.Result)
+			res, err := r.RunAllWith(context.Background(), Forked, faults, &g.Result, 0)
 			if err != nil {
 				t.Error(err)
 				return

@@ -40,8 +40,9 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestOnOutcomeHook: every scheduler reports each fault exactly once, with
-// the outcome it also records in the result, under concurrency.
+// TestOnOutcomeHook: every strategy and truncated mode reports each fault
+// exactly once, with the outcome it also records in the result, under
+// concurrency.
 func TestOnOutcomeHook(t *testing.T) {
 	r := NewRunner(target(t, "sha"))
 	r.Workers = 2
@@ -55,7 +56,7 @@ func TestOnOutcomeHook(t *testing.T) {
 		core.StructureEntryBits(lifetime.StructRF),
 		golden.Result.Cycles, 40, 7)
 
-	for _, strat := range []Strategy{Replay, Checkpointed, Forked} {
+	for _, mode := range campaignModes(t, r, golden, 4) {
 		var mu sync.Mutex
 		seen := make(map[int]Outcome)
 		var hookFaults []fault.Fault
@@ -63,25 +64,25 @@ func TestOnOutcomeHook(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			if _, dup := seen[idx]; dup {
-				t.Errorf("%v: fault %d reported twice", strat, idx)
+				t.Errorf("%v: fault %d reported twice", mode.name, idx)
 			}
 			seen[idx] = o
 			hookFaults = append(hookFaults, f)
 		}
-		res := mustRun(t)(r.RunAllWith(context.Background(), strat, faults, &golden.Result, 4))
+		res := mustRun(t)(mode.run(context.Background(), faults))
 		r.OnOutcome = nil
 
 		if len(seen) != len(faults) {
-			t.Fatalf("%v: hook saw %d faults, want %d", strat, len(seen), len(faults))
+			t.Fatalf("%v: hook saw %d faults, want %d", mode.name, len(seen), len(faults))
 		}
 		for idx, o := range seen {
 			if res.Outcomes[idx] != o {
-				t.Errorf("%v: fault %d hook outcome %v != result %v", strat, idx, o, res.Outcomes[idx])
+				t.Errorf("%v: fault %d hook outcome %v != result %v", mode.name, idx, o, res.Outcomes[idx])
 			}
 		}
 		for i, f := range hookFaults {
 			if f.Structure != lifetime.StructRF {
-				t.Fatalf("%v: hook fault %d has wrong structure %v", strat, i, f.Structure)
+				t.Fatalf("%v: hook fault %d has wrong structure %v", mode.name, i, f.Structure)
 			}
 		}
 	}

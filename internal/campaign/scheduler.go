@@ -77,101 +77,110 @@ func (s *Strategy) UnmarshalText(text []byte) error {
 // Checkpointed strategy is selected without an explicit k.
 const DefaultCheckpoints = 8
 
-// RunAllWith dispatches a campaign to the selected strategy. checkpoints
-// is only consulted by Checkpointed (<=0 means DefaultCheckpoints). Like
-// the strategies themselves, it observes ctx between injections and
-// returns the partial Result together with ctx.Err() on cancellation.
-func (r *Runner) RunAllWith(ctx context.Context, s Strategy, faults []fault.Fault, golden *cpu.RunResult, checkpoints int) (*Result, error) {
+// ForkSyncPoints is the rung count of the Forked strategy's ladder. The
+// rungs serve double duty: the sweep re-roots its copy-on-write lineage
+// at each one, and faulty continuations compare their state against them
+// to exit early once a fault provably converged back to the golden run.
+const ForkSyncPoints = 24
+
+// plan is a Strategy as data: how many mid-run rungs its checkpoint ladder
+// holds and which producer brings each fault's core to its injection
+// cycle.
+//
+//	Strategy      rungs                      producer
+//	Replay        0 (reset state only)       in-order
+//	Checkpointed  checkpoints or default     in-order
+//	Forked        ForkSyncPoints             sweep
+//
+// In-order: faults go out in input order, and each worker clones
+// ladder.before(fc) and steps it to fc-1. Sweep: one core walks the
+// golden run once in fault-cycle order, re-roots on every rung it
+// crosses, and forks a clone per fault at fc-1.
+type plan struct {
+	rungs int
+	sweep bool
+}
+
+// plan resolves s to its ladder and producer. checkpoints only matters to
+// Checkpointed (<=0 means DefaultCheckpoints); unknown values replay.
+func (s Strategy) plan(checkpoints int) plan {
 	switch s {
 	case Checkpointed:
 		if checkpoints <= 0 {
 			checkpoints = DefaultCheckpoints
 		}
-		return r.RunAllCheckpointed(ctx, faults, golden, checkpoints)
+		return plan{rungs: checkpoints}
 	case Forked:
-		return r.RunAllForked(ctx, faults, golden)
-	default:
-		return r.RunAll(ctx, faults, golden)
+		return plan{rungs: ForkSyncPoints, sweep: true}
 	}
+	return plan{}
 }
 
-// ForkSyncPoints is the number of golden snapshots the fork-on-fault
-// scheduler freezes along the run. They serve double duty: the sweep
-// re-roots its copy-on-write lineage at each one, and faulty continuations
-// compare their state against them to exit early once a fault provably
-// converged back to the golden run.
-const ForkSyncPoints = 24
-
-// forkJob hands one fault plus its pre-fault machine snapshot to a worker.
-type forkJob struct {
-	idx  int
-	core *cpu.Core
+// RunAllWith injects every fault with strategy s and classifies each
+// against the golden run; outcomes are in input order and identical for
+// every strategy. checkpoints is only consulted by Checkpointed (<=0
+// means DefaultCheckpoints). Replay's ladder has no rung past any fault,
+// so every Replay run simulates to its natural end with no early exit.
+// The campaign observes ctx between injections: on cancellation the
+// partial Result comes back together with ctx.Err().
+func (r *Runner) RunAllWith(ctx context.Context, s Strategy, faults []fault.Fault, golden *cpu.RunResult, checkpoints int) (*Result, error) {
+	return r.engine(ctx, faults, s.plan(checkpoints), golden.Cycles, r.fullVerdict(golden))
 }
 
-// RunAllForked is the fork-on-fault scheduler. A single sweep core steps
-// forward through the golden run exactly once; at each fault's injection
-// cycle (visited in ascending order) it clones the machine state and hands
-// the clone to a bounded worker pool that applies the fault and runs the
-// faulty continuation to classification. The shared pre-fault prefix is
-// thus simulated once for the whole campaign instead of once per fault,
-// reducing total pre-fault work from O(F x avg_cycle/(k+1)) under
-// checkpointing to O(golden_cycles + F x clone).
+// engine is the one scheduler behind every campaign. It resolves the
+// plan's ladder, starts one bounded worker pool, and dispatches each fault
+// to it with the plan's producer; workers apply the fault, classify it
+// with v and report it through OnOutcome. The ladder build replays a
+// golden run and cannot be interrupted, so an empty or dead-on-arrival
+// campaign skips it and simulates nothing.
 //
-// Faulty continuations additionally stop at the first golden sync
-// snapshot they are masked-equivalent to (see cpu.MaskedEquivalent):
-// state-identical up to provably dead storage, which guarantees the rest
-// of the run reproduces the golden outcome. Because the overwhelming
-// share of faults is masked, most continuations end at the next sync
-// point instead of simulating to program completion. Faults that never
-// re-converge run to their natural classification, so outcomes stay
-// bit-identical to RunAll's, in the input fault order.
+// Dispatch observes ctx between faults: once it is done no new fault
+// starts, in-flight faults (at most one per worker, plus under the sweep
+// one handed-off clone) finish classification, the rest stay Cancelled,
+// and the partial Result comes back with ctx.Err(). The sweep holds at
+// most MaxForks clones in flight (default 2 x workers), blocking until a
+// worker retires one, so faults clustered late in the run cannot pile up
+// machine snapshots in memory.
 //
-// The number of live clones is capped at MaxForks (default 2x workers) so
-// campaigns whose faults cluster late in the run cannot hold thousands of
-// machine snapshots in memory: the sweep blocks until a worker retires a
-// clone.
-//
-// The sweep observes ctx between faults: on cancellation it stops forking,
-// in-flight clones finish classification, the remaining faults are marked
-// Cancelled, and the partial Result is returned together with ctx.Err().
-func (r *Runner) RunAllForked(ctx context.Context, faults []fault.Fault, golden *cpu.RunResult) (*Result, error) {
+// Wall, Serial, Clones, CloneTime and SimCycles are stamped here and
+// nowhere else. The ladder build and the sweep are shared pre-fault work,
+// counted once in Serial and SimCycles.
+func (r *Runner) engine(ctx context.Context, faults []fault.Fault, p plan, goldenCycles uint64, v verdict) (*Result, error) {
 	res := newResult(len(faults))
 	start := time.Now()
-	// The sync ladder build replays a whole golden run and is not
-	// interruptible; skip it when the campaign is already dead on arrival.
 	if len(faults) == 0 || ctx.Err() != nil {
 		res.Wall = time.Since(start)
 		return res, res.finalize(ctx)
 	}
-
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(faults) {
-		workers = len(faults)
-	}
+	workers = min(workers, len(faults))
 	maxForks := r.MaxForks
 	if maxForks <= 0 {
 		maxForks = 2 * workers
 	}
 
-	// The golden sync ladder (a CheckpointSet: reset state + snapshots at
-	// evenly spaced cycles), served from the shared SnapshotSource when
-	// one is attached and built once per campaign otherwise. Like the
-	// sweep, a build is shared pre-fault work counted once in Wall and
-	// Serial; a snapshot hit skips it entirely.
-	var serialNS atomic.Int64
 	var m runMetrics
+	var serialNS atomic.Int64
 	pool := r.clonePool()
-	ladder, hit := r.ladder(ForkSyncPoints, golden.Cycles)
+	ladder, hit := r.ladder(p.rungs, goldenCycles)
 	if !hit {
 		m.simCycles.Add(ladder.LastCycle())
 	}
 	res.SnapshotHit = hit
 	serialNS.Add(int64(time.Since(start)))
-	live := make(chan struct{}, maxForks) // in-flight clone budget
-	jobs := make(chan forkJob)
+
+	// A job is one fault index; the sweep also hands over the fault's
+	// pre-injection clone, which the in-order producer leaves to the
+	// worker.
+	type job struct {
+		idx  int
+		core *cpu.Core
+	}
+	jobs := make(chan job)
+	live := make(chan struct{}, maxForks) // the sweep's clone budget
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -179,95 +188,98 @@ func (r *Runner) RunAllForked(ctx context.Context, faults []fault.Fault, golden 
 			defer wg.Done()
 			for j := range jobs {
 				t0 := time.Now()
-				preFault := j.core.Cycle()
-				res.Outcomes[j.idx] = r.runForkedClone(j.core, faults[j.idx], golden, ladder)
-				m.simCycles.Add(j.core.Cycle() - preFault)
-				pool.Release(j.core)
+				f := faults[j.idx]
+				c := j.core
+				if c == nil {
+					c = m.clone(pool, ladder.before(f.Cycle))
+				}
+				from := c.Cycle()
+				o := r.inject(c, f, ladder, v)
+				m.simCycles.Add(c.Cycle() - from)
+				pool.Release(c)
+				res.Outcomes[j.idx] = o
 				serialNS.Add(int64(time.Since(t0)))
-				r.emit(j.idx, faults[j.idx], res.Outcomes[j.idx])
-				<-live
+				r.emit(j.idx, f, o)
+				if p.sweep {
+					<-live
+				}
 			}
 		}()
 	}
 
-	// The sweep: advance the golden run once, forking at each fault
-	// cycle. Crossing a ladder snapshot, the sweep re-roots itself on a
-	// clone of it — bit-identical state by determinism — so the
-	// copy-on-write page pool the forks share with the ladder stays
-	// shallow and state comparisons skip everything the segment never
-	// wrote.
-	sweep := m.clone(pool, ladder.cores[0])
-	next := 1
+	var order []int
+	var sweep *cpu.Core
+	var sweepFrom uint64
+	rung := 1 // the sweep's next uncrossed ladder rung
+	if p.sweep {
+		order = fault.SortedIndices(faults)
+		sweep = m.clone(pool, ladder.cores[0])
+	}
 	t0 := time.Now()
-	sweepStart := sweep.Cycle()
 	done := ctx.Done()
-sweep:
-	for _, idx := range fault.SortedIndices(faults) {
+dispatch:
+	for i := range faults {
+		// Non-blocking cancellation check first: with a worker ready AND
+		// ctx done, a bare two-case select picks at random and could keep
+		// dispatching past cancellation.
 		select {
 		case <-done:
-			break sweep
+			break dispatch
 		default:
 		}
-		fc := faults[idx].Cycle
-		root := -1
-		for next < len(ladder.cycles) && ladder.cycles[next] < fc {
-			root = next
-			next++
+		j := job{idx: i}
+		if p.sweep {
+			j.idx = order[i]
+			fc := faults[j.idx].Cycle
+			// Crossing rungs, re-root on a clone of the latest one —
+			// bit-identical state by determinism — so the copy-on-write
+			// pages the forks share with the ladder stay shallow and
+			// state comparisons skip everything the segment never wrote.
+			root := -1
+			for ; rung < len(ladder.cycles) && ladder.cycles[rung] < fc; rung++ {
+				root = rung
+			}
+			if root >= 0 {
+				m.simCycles.Add(sweep.Cycle() - sweepFrom)
+				pool.Release(sweep)
+				sweep = m.clone(pool, ladder.cores[root])
+				sweepFrom = sweep.Cycle()
+			}
+			for sweep.Cycle()+1 < fc && sweep.Halted() == cpu.Running {
+				sweep.Step()
+			}
+			// Taking a clone slot can block on busy workers; observe
+			// cancellation here too.
+			select {
+			case live <- struct{}{}:
+			case <-done:
+				break dispatch
+			}
+			j.core = m.clone(pool, sweep)
 		}
-		if root >= 0 {
-			m.simCycles.Add(sweep.Cycle() - sweepStart)
-			pool.Release(sweep)
-			sweep = m.clone(pool, ladder.cores[root])
-			sweepStart = sweep.Cycle()
-		}
-		for sweep.Cycle()+1 < fc && sweep.Halted() == cpu.Running {
-			sweep.Step()
-		}
-		// Acquiring a clone slot and handing the job off can both block
-		// on busy workers; observe cancellation in each so a cancelled
-		// sweep never waits for a whole classification to retire first.
-		// (Breaking with the live token held is harmless: the sweep ends
-		// and the channel is garbage once the workers drain.)
 		select {
-		case live <- struct{}{}:
+		case jobs <- j:
 		case <-done:
-			break sweep
-		}
-		select {
-		case jobs <- forkJob{idx: idx, core: m.clone(pool, sweep)}:
-		case <-done:
-			break sweep
+			if j.core != nil {
+				pool.Release(j.core)
+			}
+			break dispatch
 		}
 	}
 	close(jobs)
-	// The sweep is shared pre-fault work; count it once in the
-	// serial-equivalent total.
-	m.simCycles.Add(sweep.Cycle() - sweepStart)
-	serialNS.Add(int64(time.Since(t0)))
+	if p.sweep {
+		m.simCycles.Add(sweep.Cycle() - sweepFrom)
+		serialNS.Add(int64(time.Since(t0)))
+	}
 	wg.Wait()
-	pool.Release(sweep)
+	if sweep != nil {
+		pool.Release(sweep)
+	}
 
 	res.Wall = time.Since(start)
 	res.Serial = time.Duration(serialNS.Load())
-	m.fill(res)
+	res.Clones = m.clones.Load()
+	res.CloneTime = time.Duration(m.cloneNS.Load())
+	res.SimCycles = m.simCycles.Load()
 	return res, res.finalize(ctx)
-}
-
-// runForkedClone finishes one faulty continuation: the clone already sits
-// at the fault's pre-injection cycle, so only apply-and-run remains — the
-// shared classifyAgainst does the rest, including the masked-equivalence
-// early exit at the golden sync snapshots. Simulator panics classify
-// exactly as in RunFault.
-func (r *Runner) runForkedClone(c *cpu.Core, f fault.Fault, golden *cpu.RunResult, ladder *CheckpointSet) (out Outcome) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(*cpu.AssertError); ok {
-				out = Assert
-			} else {
-				out = Crash
-			}
-		}
-	}()
-	applyFault(c, f)
-	return r.classifyAgainst(c, golden, ladder)
 }

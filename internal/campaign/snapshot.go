@@ -38,9 +38,11 @@ func (r *Runner) snapshotKey(k int, goldenCycles uint64) SnapshotKey {
 
 // ladder returns the k-snapshot checkpoint set for a goldenCycles-long
 // run, served from r.Snapshots when one is attached (hit reports a served
-// set) and built fresh otherwise.
+// set) and built fresh otherwise. A k=0 ladder is only the reset state:
+// it costs no simulation, so it is always built directly and never takes
+// a byte-budgeted cache slot from a real ladder.
 func (r *Runner) ladder(k int, goldenCycles uint64) (set *CheckpointSet, hit bool) {
-	if r.Snapshots == nil {
+	if k == 0 || r.Snapshots == nil {
 		return r.BuildCheckpoints(k, goldenCycles), false
 	}
 	return r.Snapshots.GetOrBuild(r.snapshotKey(k, goldenCycles), func() *CheckpointSet {

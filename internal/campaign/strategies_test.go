@@ -37,7 +37,8 @@ func strategyFaultList(c interface {
 
 // TestStrategyDifferential: for randomized fault lists over three
 // workloads (one per target structure), Replay, Checkpointed and Forked
-// must produce identical per-fault outcome slices.
+// must each classify every fault exactly as the fresh-core RunFault does,
+// edge cases included.
 func TestStrategyDifferential(t *testing.T) {
 	const k = 5
 	cases := []struct {
@@ -58,17 +59,17 @@ func TestStrategyDifferential(t *testing.T) {
 		faults := strategyFaultList(r.NewCore(), tc.s, g.Result.Cycles, 50, int64(31+wi), set.cycles[1:])
 
 		ctx := context.Background()
-		replay := mustRun(t)(r.RunAll(ctx, faults, &g.Result))
+		replay := mustRun(t)(r.RunAllWith(ctx, Replay, faults, &g.Result, 0))
 		ckpt := mustRun(t)(r.RunAllWith(ctx, Checkpointed, faults, &g.Result, k))
 		forked := mustRun(t)(r.RunAllWith(ctx, Forked, faults, &g.Result, 0))
-		for i := range faults {
-			if replay.Outcomes[i] != ckpt.Outcomes[i] {
-				t.Errorf("%s/%v fault %v: replay %v vs checkpointed %v",
-					tc.wl, tc.s, faults[i], replay.Outcomes[i], ckpt.Outcomes[i])
-			}
-			if replay.Outcomes[i] != forked.Outcomes[i] {
-				t.Errorf("%s/%v fault %v: replay %v vs forked %v",
-					tc.wl, tc.s, faults[i], replay.Outcomes[i], forked.Outcomes[i])
+		for i, f := range faults {
+			want := r.RunFault(f, &g.Result)
+			for _, got := range []*Result{replay, ckpt, forked} {
+				if got.Outcomes[i] != want {
+					t.Errorf("%s/%v fault %v: replay %v checkpointed %v forked %v, RunFault %v",
+						tc.wl, tc.s, f, replay.Outcomes[i], ckpt.Outcomes[i], forked.Outcomes[i], want)
+					break
+				}
 			}
 		}
 		if replay.Dist != forked.Dist || replay.Dist != ckpt.Dist {
@@ -92,11 +93,11 @@ func TestForkedBoundedPool(t *testing.T) {
 	c := r.NewCore()
 	faults := sampling.Generate(lifetime.StructRF,
 		c.StructureEntries(lifetime.StructRF), 64, g.Result.Cycles, 40, 17)
-	want := mustRun(t)(r.RunAll(context.Background(), faults, &g.Result))
+	want := mustRun(t)(r.RunAllWith(context.Background(), Replay, faults, &g.Result, 0))
 
 	r.Workers = 2
 	r.MaxForks = 1
-	got := mustRun(t)(r.RunAllForked(context.Background(), faults, &g.Result))
+	got := mustRun(t)(r.RunAllWith(context.Background(), Forked, faults, &g.Result, 0))
 	for i := range faults {
 		if want.Outcomes[i] != got.Outcomes[i] {
 			t.Errorf("fault %v: replay %v vs bounded forked %v", faults[i], want.Outcomes[i], got.Outcomes[i])
@@ -112,11 +113,11 @@ func TestForkedEmptyAndSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := mustRun(t)(r.RunAllForked(context.Background(), nil, &g.Result)); res.Dist.Total() != 0 || len(res.Outcomes) != 0 {
+	if res := mustRun(t)(r.RunAllWith(context.Background(), Forked, nil, &g.Result, 0)); res.Dist.Total() != 0 || len(res.Outcomes) != 0 {
 		t.Errorf("empty campaign: %+v", res)
 	}
 	one := []fault.Fault{{Structure: lifetime.StructRF, Entry: 255, Bit: 63, Cycle: 1}}
-	if res := mustRun(t)(r.RunAllForked(context.Background(), one, &g.Result)); res.Outcomes[0] != Masked {
+	if res := mustRun(t)(r.RunAllWith(context.Background(), Forked, one, &g.Result, 0)); res.Outcomes[0] != Masked {
 		t.Errorf("unused-register fault = %v, want Masked", res.Outcomes[0])
 	}
 }
@@ -137,8 +138,9 @@ func TestCheckpointBeforeCycleZero(t *testing.T) {
 		}
 	}
 	f := fault.Fault{Structure: lifetime.StructRF, Entry: 4, Bit: 9, Cycle: 0}
-	if plain, fast := r.RunFault(f, &g.Result), r.RunFaultFrom(set, f, &g.Result); plain != fast {
-		t.Errorf("cycle-0 fault: replay %v vs checkpointed %v", plain, fast)
+	fast := mustRun(t)(r.RunAllWith(context.Background(), Checkpointed, []fault.Fault{f}, &g.Result, 4))
+	if plain := r.RunFault(f, &g.Result); plain != fast.Outcomes[0] {
+		t.Errorf("cycle-0 fault: replay %v vs checkpointed %v", plain, fast.Outcomes[0])
 	}
 }
 
@@ -180,5 +182,37 @@ func TestStrategyNames(t *testing.T) {
 	}
 	if Strategy(250).String() == "" {
 		t.Error("out-of-range Strategy has no diagnostic name")
+	}
+}
+
+// TestTruncatedDifferential: the engine's truncated mode (pooled clones
+// of the reset state) must classify every fault exactly as the fresh-core
+// RunFaultTruncated does, on both Table 4 workloads cut at half their
+// golden run and across all three structures.
+func TestTruncatedDifferential(t *testing.T) {
+	for wi, wl := range []string{"bzip2", "gcc"} {
+		t.Run(wl, func(t *testing.T) {
+			t.Parallel()
+			r := NewRunner(target(t, wl))
+			g, err := r.RunGolden()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := g.Result.Cycles / 2
+			tg, err := r.RunGoldenTruncated(cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := r.NewCore()
+			for si, s := range []lifetime.StructureID{lifetime.StructRF, lifetime.StructSQ, lifetime.StructL1D} {
+				faults := sampling.Generate(s, c.StructureEntries(s), c.StructureEntryBits(s), cut, 20, int64(41+3*wi+si))
+				res := mustRun(t)(r.RunAllTruncated(context.Background(), faults, tg))
+				for i, f := range faults {
+					if want := r.RunFaultTruncated(f, tg); res.Outcomes[i] != want {
+						t.Errorf("%v fault %v: engine %v, RunFaultTruncated %v", s, f, res.Outcomes[i], want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -37,61 +37,51 @@ func (r *Runner) RunGoldenTruncated(cut uint64, track ...lifetime.StructureID) (
 	return &TruncatedGolden{Cut: cut, Result: res, Hash: c.StateHash(), Tracer: tr}, nil
 }
 
-// RunFaultTruncated injects f, runs to the cut, and classifies with the
-// paper's truncated scheme: Masked / DUE / Crash / Assert / Unknown. SDCs
-// and Timeouts cannot be identified because the program never finishes;
-// any fault whose effects are still present in the machine state at the
-// cut is Unknown.
-func (r *Runner) RunFaultTruncated(f fault.Fault, tg *TruncatedGolden) (out Outcome) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(*cpu.AssertError); ok {
-				out = Assert
-			} else {
-				out = Crash
-			}
-		}
-	}()
-	c := r.NewCore()
-	for c.Cycle()+1 < f.Cycle && c.Halted() == cpu.Running {
-		c.Step()
-	}
-	applyFault(c, f)
-	res := c.Run(tg.Cut)
-	switch res.Halt {
-	case cpu.CycleLimit:
-		// Still running at the cut, as the golden run is.
-	case cpu.HaltOK:
-		// The fault steered execution to completion before the interval
-		// ended; its effect on the full program is undecidable here.
-		return Unknown
-	default:
-		return Crash
-	}
-	outputSame := equalU64(res.Output, tg.Result.Output)
-	excSame := equalU32(res.ExcLog, tg.Result.ExcLog)
-	if !outputSame {
-		return Unknown // corrupted output already visible; still "not finished"
-	}
-	c.FlushDataCaches()
-	if c.StateHash() == tg.Hash {
-		if !excSame {
-			return DUE
-		}
-		return Masked
-	}
-	if !excSame {
-		return DUE
-	}
-	return Unknown
+// RunFaultTruncated injects f on a fresh core, runs to the cut, and
+// classifies with the paper's truncated scheme: Masked / DUE / Crash /
+// Assert / Unknown. SDCs and Timeouts cannot be identified because the
+// program never finishes; any fault whose effects are still present in
+// the machine state at the cut is Unknown. It is the per-fault reference
+// RunAllTruncated must match.
+func (r *Runner) RunFaultTruncated(f fault.Fault, tg *TruncatedGolden) Outcome {
+	return r.inject(r.NewCore(), f, nil, truncatedVerdict(tg))
 }
 
-// RunAllTruncated is the truncated-run analogue of RunAll, with the same
-// cancellation contract.
+// truncatedVerdict runs a faulty core to the cut and compares its state
+// digest with the truncated golden run's. It takes no early exit, so it
+// ignores the ladder.
+func truncatedVerdict(tg *TruncatedGolden) verdict {
+	return func(c *cpu.Core, _ *CheckpointSet) Outcome {
+		res := c.Run(tg.Cut)
+		switch res.Halt {
+		case cpu.CycleLimit:
+			// Still running at the cut, as the golden run is.
+		case cpu.HaltOK:
+			// The fault steered execution to completion before the
+			// interval ended; its effect on the full program is
+			// undecidable here.
+			return Unknown
+		default:
+			return Crash
+		}
+		if !equalU64(res.Output, tg.Result.Output) {
+			return Unknown // corrupted output already visible; still "not finished"
+		}
+		if !equalU32(res.ExcLog, tg.Result.ExcLog) {
+			return DUE
+		}
+		c.FlushDataCaches()
+		if c.StateHash() == tg.Hash {
+			return Masked
+		}
+		return Unknown
+	}
+}
+
+// RunAllTruncated is the campaign engine in truncated mode: every fault
+// is replayed from the reset state (a k=0 ladder, never asked of
+// Snapshots) and classified by truncatedVerdict. It shares RunAllWith's
+// worker pool, OnOutcome reporting, metrics and cancellation contract.
 func (r *Runner) RunAllTruncated(ctx context.Context, faults []fault.Fault, tg *TruncatedGolden) (*Result, error) {
-	res := newResult(len(faults))
-	parallelFor(ctx, r.Workers, len(faults), func(i int) {
-		res.Outcomes[i] = r.RunFaultTruncated(faults[i], tg)
-	})
-	return res, res.finalize(ctx)
+	return r.engine(ctx, faults, plan{}, tg.Cut, truncatedVerdict(tg))
 }

@@ -69,13 +69,8 @@ var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 // state.
 var wallClockAllow = map[string]map[string]string{
 	"merlin/internal/campaign": {
-		"runMetrics.clone":          "clone-cost metric (Result.CloneTime); never touches simulated state",
-		"Runner.RunAll":             "Result.Wall/Serial wall-clock metric stamping",
-		"Runner.RunAllCheckpointed": "Result.Wall/Serial wall-clock metric stamping",
-		"Runner.RunAllForked":       "Result.Wall/Serial wall-clock metric stamping",
-		// Runner.RunAllTruncated was listed here until the walltime002 rot
-		// check landed: it delegates its wall stamping to RunAll and never
-		// read the clock itself.
+		"runMetrics.clone": "clone-cost metric (Result.CloneTime); never touches simulated state",
+		"Runner.engine":    "the one campaign engine stamps Result.Wall/Serial for every strategy and truncated mode; never touches simulated state",
 	},
 	"merlin": {
 		"runFleetCampaign": "fleet Report.Wall metric stamping",
@@ -86,8 +81,6 @@ var wallClockAllow = map[string]map[string]string{
 		"RunChaos":          "chaos suite wall-clock metrics (ChaosResult timing fields)",
 		"chaosAwait":        "chaos campaign poll deadline",
 		"chaosAwaitWorkers": "chaos fleet join poll deadline",
-		// runChaosScenario was listed here until the walltime002 rot check
-		// landed: its timing uses duration constants, not clock reads.
 	},
 	"merlin/internal/fleet": {
 		"NewPool": "heartbeat/TTL liveness clock (injected so tests fake it)",

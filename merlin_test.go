@@ -8,26 +8,68 @@ import (
 	"merlin/internal/campaign"
 )
 
-func TestPipelinePhases(t *testing.T) {
-	cfg := Config{Workload: "sha", Structure: RF, Faults: 400, Seed: 1}
-	a, err := Preprocess(cfg)
+// preprocessed starts a session over workload with opts and runs phase 1.
+func preprocessed(t *testing.T, workload string, opts ...Option) *Session {
+	t.Helper()
+	s, err := Start(context.Background(), workload, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Preprocess(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// runSession starts a session over workload with opts and runs the whole
+// pipeline.
+func runSession(t *testing.T, workload string, opts ...Option) *Report {
+	t.Helper()
+	s, err := Start(context.Background(), workload, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// reduced is preprocessed plus phase 2.
+func reduced(t *testing.T, workload string, opts ...Option) (*Session, *Reduction) {
+	t.Helper()
+	s := preprocessed(t, workload, opts...)
+	red, err := s.Reduce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, red
+}
+
+func TestPipelinePhases(t *testing.T) {
+	s := preprocessed(t, "sha", WithStructure(RF), WithFaults(400), WithSeed(1))
+	a := s.Artifacts()
 	if len(a.Faults) != 400 {
 		t.Fatalf("faults = %d", len(a.Faults))
 	}
 	if a.Analysis == nil || len(a.Analysis.Intervals) == 0 {
 		t.Fatal("no vulnerable intervals recorded")
 	}
-	red := a.Reduce()
+	red, err := s.Reduce()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if red.ACEMasked+len(red.HitFaults) != 400 {
 		t.Fatal("pruning does not partition the list")
 	}
 	if red.ReducedCount() > len(red.HitFaults) {
 		t.Fatal("grouping increased the fault count")
 	}
-	rep := a.Inject()
+	rep, err := s.Inject(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Dist.Total() != 400 {
 		t.Fatalf("extrapolated total = %d", rep.Dist.Total())
 	}
@@ -40,10 +82,7 @@ func TestPipelinePhases(t *testing.T) {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	rep, err := Run(Config{Workload: "fft", Structure: SQ, Faults: 300, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSession(t, "fft", WithStructure(SQ), WithFaults(300), WithSeed(2))
 	if rep.InitialFaults != 300 || rep.Injected == 0 {
 		t.Fatalf("report: %+v", rep)
 	}
@@ -59,13 +98,9 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestDerivedSampleSize(t *testing.T) {
 	// With no explicit fault count, the Leveugle formula sizes the list.
-	cfg := Config{Workload: "fft", Structure: SQ, Confidence: 0.95, ErrorMargin: 0.05, Seed: 3}
-	a, err := Preprocess(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := preprocessed(t, "fft", WithStructure(SQ), WithSampling(0.95, 0.05), WithSeed(3))
 	// 95%/5% needs ~384 faults for large populations.
-	if n := len(a.Faults); n < 350 || n > 420 {
+	if n := len(s.Artifacts().Faults); n < 350 || n > 420 {
 		t.Errorf("derived sample size = %d, want ~384", n)
 	}
 }
@@ -76,12 +111,8 @@ func TestDerivedSampleSize(t *testing.T) {
 func TestACELikePruningSound(t *testing.T) {
 	for _, wl := range []string{"sha", "qsort"} {
 		for _, s := range []Structure{RF, SQ, L1D} {
-			cfg := Config{Workload: wl, Structure: s, Faults: 300, Seed: 9}
-			a, err := Preprocess(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			red := a.Reduce()
+			sess, red := reduced(t, wl, WithStructure(s), WithFaults(300), WithSeed(9))
+			a := sess.Artifacts()
 			checked := 0
 			for i, f := range a.Faults {
 				if red.IntervalOf[i] >= 0 {
@@ -105,25 +136,21 @@ func TestACELikePruningSound(t *testing.T) {
 // (paper Fig 14): injecting only representatives and extrapolating must
 // closely match injecting the entire post-ACE list.
 func TestExtrapolationMatchesFullInjection(t *testing.T) {
-	cfg := Config{Workload: "stringsearch", Structure: RF, Faults: 500, Seed: 4}
-	a, err := Preprocess(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red := a.Reduce()
+	s, red := reduced(t, "stringsearch", WithStructure(RF), WithFaults(500), WithSeed(4))
+	a := s.Artifacts()
 
 	// Full injection of the post-ACE list.
 	full := make([]Fault, len(red.HitFaults))
 	for i, fi := range red.HitFaults {
 		full[i] = a.Faults[fi]
 	}
-	fullRes, err := a.Runner.RunAll(context.Background(), full, &a.Golden.Result)
+	fullRes, err := a.Runner.RunAllWith(context.Background(), StrategyReplay, full, &a.Golden.Result, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// MeRLiN path.
-	repRes, err := a.Runner.RunAll(context.Background(), red.Reduced(), &a.Golden.Result)
+	repRes, err := a.Runner.RunAllWith(context.Background(), StrategyReplay, red.Reduced(), &a.Golden.Result, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +186,7 @@ func TestWorkloadsList(t *testing.T) {
 }
 
 func TestUnknownWorkload(t *testing.T) {
-	if _, err := Run(Config{Workload: "nope", Structure: RF, Faults: 10}); err == nil {
+	if _, err := Start(context.Background(), "nope", WithStructure(RF), WithFaults(10)); err == nil {
 		t.Error("expected error for unknown workload")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,48 +64,26 @@ func TestStartOptionValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckpointFlipPreserved: the deprecated Config path keeps the
-// historic Checkpoints>0 strategy flip the v2 API rejects.
-func TestLegacyCheckpointFlipPreserved(t *testing.T) {
-	cfg := Config{Workload: "sha", Structure: RF, Faults: 10, Checkpoints: 3}.withDefaults()
-	if cfg.Strategy != StrategyCheckpointed {
-		t.Fatalf("legacy flip lost: strategy %v", cfg.Strategy)
-	}
-	// An explicit non-default strategy is never flipped.
-	cfg = Config{Workload: "sha", Structure: RF, Strategy: StrategyForked, Checkpoints: 3}.withDefaults()
-	if cfg.Strategy != StrategyForked {
-		t.Fatalf("legacy flip overrode an explicit strategy: %v", cfg.Strategy)
-	}
-}
-
-// TestSessionMatchesLegacyRun: the acceptance criterion that existing
-// merlin.Run(cfg) callers produce bit-identical reports through the
-// deprecated wrapper, and that the Session pipeline agrees with it.
-func TestSessionMatchesLegacyRun(t *testing.T) {
-	cfg := Config{Workload: "sha", Structure: RF, Faults: 300, Seed: 11, Strategy: StrategyForked}
-	legacy, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// TestSessionRunMatchesPhases: Run(ctx) and an explicit Preprocess /
+// Reduce / Inject sequence over the same options produce bit-identical
+// reports, and the phases are idempotent.
+func TestSessionRunMatchesPhases(t *testing.T) {
 	ctx := context.Background()
-	s, err := Start(ctx, "sha",
-		WithStructure(RF), WithFaults(300), WithSeed(11), WithStrategy(StrategyForked))
+	opts := []Option{WithStructure(RF), WithFaults(300), WithSeed(11), WithStrategy(StrategyForked)}
+	whole := runSession(t, "sha", opts...)
+
+	s, red1 := reduced(t, "sha", opts...)
+	rep, err := s.Inject(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Dist != legacy.Dist || rep.AVF != legacy.AVF || rep.FIT != legacy.FIT ||
-		rep.GoldenCycles != legacy.GoldenCycles || rep.Injected != legacy.Injected ||
-		rep.FinalGroups != legacy.FinalGroups {
-		t.Fatalf("Session report diverged from legacy Run:\nlegacy %+v\nv2     %+v", legacy, rep)
+	if rep.Dist != whole.Dist || rep.AVF != whole.AVF || rep.FIT != whole.FIT ||
+		rep.GoldenCycles != whole.GoldenCycles || rep.Injected != whole.Injected ||
+		rep.FinalGroups != whole.FinalGroups || !slices.Equal(rep.RepOutcomes, whole.RepOutcomes) {
+		t.Fatalf("phase-by-phase report diverged from Run:\nRun    %+v\nphases %+v", whole, rep)
 	}
 
 	// Phases are idempotent: re-running returns the same products.
-	red1, _ := s.Reduce()
 	red2, _ := s.Reduce()
 	if red1 != red2 {
 		t.Error("Reduce is not memoized")
@@ -215,10 +194,7 @@ func TestSessionInjectCancellation(t *testing.T) {
 // TestReportJSONCarriesNames: the text-marshaling satellite — structures,
 // strategies and outcomes serialize as names, and the report round-trips.
 func TestReportJSONCarriesNames(t *testing.T) {
-	rep, err := Run(Config{Workload: "sha", Structure: RF, Faults: 120, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSession(t, "sha", WithStructure(RF), WithFaults(120), WithSeed(2))
 	raw, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +232,7 @@ func TestReportJSONCarriesNames(t *testing.T) {
 
 // TestSessionBaselineReusesGolden: Session.Baseline after Run must not
 // repeat the golden run (one Artifacts, same golden cycles) and agrees
-// with the deprecated RunBaseline.
+// with the baseline of a session that never ran the MeRLiN campaign.
 func TestSessionBaselineReusesGolden(t *testing.T) {
 	ctx := context.Background()
 	s, err := Start(ctx, "fft", WithStructure(SQ), WithFaults(200), WithSeed(5))
@@ -279,11 +255,15 @@ func TestSessionBaselineReusesGolden(t *testing.T) {
 		t.Fatalf("baseline diverged from session campaign: %+v", base)
 	}
 
-	legacy, err := RunBaseline(Config{Workload: "fft", Structure: SQ, Faults: 200, Seed: 5})
+	alone, err := Start(ctx, "fft", WithStructure(SQ), WithFaults(200), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Dist != base.Dist {
-		t.Fatalf("legacy baseline %v != session baseline %v", legacy.Dist, base.Dist)
+	standalone, err := alone.Baseline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(standalone.Outcomes, base.Outcomes) {
+		t.Fatalf("standalone baseline %v != baseline after Run %v", standalone.Dist, base.Dist)
 	}
 }
